@@ -4,6 +4,7 @@
 //! (enabled by default, as in the paper's experiments).
 
 use std::collections::VecDeque;
+use std::time::Duration;
 
 use ecf_core::{Decision, PathSnapshot, Scheduler};
 use simnet::Time;
@@ -110,22 +111,35 @@ pub struct Connection {
     tel_conn: u32,
 }
 
+/// Where one subflow of a [`Connection`] rides.
+#[derive(Debug, Clone, Copy)]
+pub struct SubflowPath {
+    /// Index of the `simnet` path.
+    pub path: usize,
+    /// Seeds the RTT estimator, standing in for the handshake's sample.
+    pub handshake_rtt: Duration,
+    /// Inflight segments to reserve room for up front: this subflow's share
+    /// of the window its path sustains (`simnet::PathRings::window`, split
+    /// among the subflows riding the path).
+    pub inflight_reserve: usize,
+}
+
 impl Connection {
-    /// Build a connection whose subflow `i` rides path `paths[i]` with the
-    /// given handshake RTT seed.
+    /// Build a connection whose subflow `i` rides `subflow_paths[i]`.
     pub fn new(
         cfg: ConnConfig,
         scheduler: Box<dyn Scheduler>,
-        subflow_paths: &[(usize, std::time::Duration)],
+        subflow_paths: &[SubflowPath],
     ) -> Self {
         assert!(!subflow_paths.is_empty(), "a connection needs at least one subflow");
-        // A subflow can never hold more unacked segments than the meta
-        // buffers admit outstanding; reserving that bound up front keeps the
-        // inflight deque from ever reallocating mid-run.
-        let inflight_cap = cfg.sndbuf_segs.min(cfg.rwnd_segs) as usize;
+        // No subflow ever holds more than the meta buffers admit.
+        let buffer_cap = cfg.sndbuf_segs.min(cfg.rwnd_segs) as usize;
         let subflows = subflow_paths
             .iter()
-            .map(|&(path, hs_rtt)| Subflow::new(path, cfg.tcp, hs_rtt, inflight_cap))
+            .map(|sp| {
+                let inflight_cap = sp.inflight_reserve.min(buffer_cap);
+                Subflow::new(sp.path, cfg.tcp, sp.handshake_rtt, inflight_cap)
+            })
             .collect();
         Connection {
             cfg,
@@ -476,14 +490,13 @@ impl Connection {
 mod tests {
     use super::*;
     use ecf_core::SchedulerKind;
-    use std::time::Duration;
+
+    fn path(path: usize, rtt_ms: u64) -> SubflowPath {
+        SubflowPath { path, handshake_rtt: Duration::from_millis(rtt_ms), inflight_reserve: 64 }
+    }
 
     fn conn(kind: SchedulerKind) -> Connection {
-        Connection::new(
-            ConnConfig::default(),
-            kind.build(),
-            &[(0, Duration::from_millis(20)), (1, Duration::from_millis(100))],
-        )
+        Connection::new(ConnConfig::default(), kind.build(), &[path(0, 20), path(1, 100)])
     }
 
     fn ack(sub_ssn: u64, dsn: u64, rwnd: u64) -> AckInfo {
@@ -539,7 +552,7 @@ mod tests {
         let mut c = Connection::new(
             ConnConfig { sndbuf_segs: 30, ..ConnConfig::default() },
             SchedulerKind::Default.build(),
-            &[(0, Duration::from_millis(20))],
+            &[path(0, 20)],
         );
         c.server_write(0, 100);
         assert_eq!(c.sndbuf_occupancy(), 30);

@@ -49,7 +49,7 @@ mod trace;
 pub mod transport;
 
 pub use cc::{ca_increase, CcKind, CcView};
-pub use connection::{ConnConfig, ConnStats, Connection, Transmission};
+pub use connection::{ConnConfig, ConnStats, Connection, SubflowPath, Transmission};
 pub use receiver::{Delivered, Receiver, ReceiverStats, RxOutcome};
 pub use segment::{segs_for_bytes, AckInfo, ConnId, InflightSeg, ReqId, Segment, SubId};
 pub use sim::{Api, Application, ConnSpec, Event, Sim, Testbed, TestbedConfig, World};

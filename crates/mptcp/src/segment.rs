@@ -43,11 +43,13 @@ pub struct AckInfo {
     pub rwnd_free: u64,
 }
 
-/// State the sender keeps for each unacknowledged transmission.
+/// State the sender keeps for each unacknowledged transmission. Its subflow
+/// sequence number is implicit: the subflow's inflight queue is contiguous
+/// from `snd_una`, so entry `i` carries ssn `snd_una + i`.
 #[derive(Debug, Clone, Copy)]
 pub struct InflightSeg {
-    /// The segment (dsn + ssn).
-    pub seg: Segment,
+    /// Data sequence number carried.
+    pub dsn: u64,
     /// When the most recent transmission of it left the sender.
     pub sent_at: Time,
     /// True once retransmitted (Karn's rule: no RTT sample).

@@ -13,12 +13,13 @@ use std::time::Duration;
 use ecf_core::SchedulerKind;
 use scenario::{Action, ControlEvent, Scenario};
 use simnet::{
-    DeliveryQueue, Engine, EventQueue, Model, Path, PathConfig, RunOutcome, Time, Verdict,
+    DeliveryQueue, Engine, EventQueue, Model, Path, PathConfig, PathRings, RunOutcome, Time,
+    Verdict,
 };
 use tcp_model::{wire_size, MSS};
 use telemetry::{Counter, EventKind, LinkDir, TelemetryHandle};
 
-use crate::connection::{ConnConfig, Connection, Transmission};
+use crate::connection::{ConnConfig, Connection, SubflowPath, Transmission};
 use crate::receiver::Receiver;
 use crate::segment::{segs_for_bytes, AckInfo, ConnId, ReqId, Segment, SubId};
 use crate::trace::{Recorder, RecorderConfig};
@@ -277,17 +278,27 @@ impl World {
                 p
             })
             .collect();
-        let path_cfgs = cfg.paths.clone();
+        // The subflows riding a path share the window it sustains; one that
+        // takes more than its share while the others idle grows its deque.
+        let rings: Vec<PathRings> = cfg.paths.iter().map(PathConfig::rings).collect();
+        let mut riders = vec![0; cfg.paths.len()];
+        for &p in cfg.conns.iter().flat_map(|c| &c.subflow_paths) {
+            riders[p] += 1;
+        }
         let conns: Vec<ConnState> = cfg
             .conns
             .iter_mut()
             .enumerate()
             .map(|(ci, spec)| {
                 assert!(!spec.subflow_paths.is_empty());
-                let subflow_paths: Vec<(usize, Duration)> = spec
+                let subflow_paths: Vec<SubflowPath> = spec
                     .subflow_paths
                     .iter()
-                    .map(|&p| (p, path_cfgs[p].base_rtt()))
+                    .map(|&p| SubflowPath {
+                        path: p,
+                        handshake_rtt: cfg.paths[p].base_rtt(),
+                        inflight_reserve: rings[p].window_share(riders[p]),
+                    })
                     .collect();
                 let scheduler: Box<dyn ecf_core::Scheduler> = match spec.custom_scheduler.take()
                 {
@@ -313,10 +324,17 @@ impl World {
             conns,
             recorder,
             path_up: vec![true; n_paths],
-            // A window's worth of MSS packets fits comfortably in 512
-            // slots; pre-sizing keeps the steady state reallocation-free.
-            fwd_inflight: (0..n_paths).map(|_| DeliveryQueue::with_capacity(512)).collect(),
-            rev_inflight: (0..n_paths).map(|_| DeliveryQueue::with_capacity(512)).collect(),
+            // Each direction reserves what its link holds between enqueue
+            // and arrival (see `PathRings`), so the steady state never
+            // reallocates.
+            fwd_inflight: rings
+                .iter()
+                .map(|r| DeliveryQueue::with_capacity(r.fwd_delivery))
+                .collect(),
+            rev_inflight: rings
+                .iter()
+                .map(|r| DeliveryQueue::with_capacity(r.rev_delivery))
+                .collect(),
             controls: cfg.scenario.compile(),
             plan_buf: Vec::with_capacity(64),
             delivered_buf: Vec::with_capacity(64),

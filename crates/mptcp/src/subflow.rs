@@ -51,6 +51,7 @@ pub struct Subflow {
     pub cc: TcpCc,
     next_ssn: u64,
     snd_una: u64,
+    /// Unacknowledged transmissions, contiguous in ssn from `snd_una`.
     inflight: VecDeque<InflightSeg>,
     dupacks: u32,
     /// NewReno recovery: highest ssn outstanding when loss was detected;
@@ -78,9 +79,12 @@ pub struct Subflow {
 impl Subflow {
     /// Create a subflow on `path`. `handshake_rtt` seeds the RTT estimator,
     /// standing in for the SYN/SYN-ACK measurement a real connection gets.
-    /// `inflight_cap` is the most unacked segments the connection's meta
-    /// buffers will ever let this subflow hold — reserved up front so the
-    /// inflight deque never grows on the hot path.
+    /// `inflight_cap` is this subflow's share of the window its path
+    /// sustains (bandwidth-delay product plus droptail depth, split among
+    /// the subflows riding the path and capped by the connection's meta
+    /// buffers; see `simnet::PathRings::window`). It is reserved up front so
+    /// steady-state sends never grow the inflight deque, which still grows
+    /// on demand when the subflow outgrows its share.
     pub fn new(path: usize, tcp: TcpConfig, handshake_rtt: Duration, inflight_cap: usize) -> Self {
         let mut cc = TcpCc::new(tcp);
         cc.rtt.on_sample(handshake_rtt);
@@ -114,7 +118,7 @@ impl Subflow {
     /// All data sequence numbers currently unacknowledged here (drained for
     /// reinjection when the path dies).
     pub fn inflight_dsns(&self) -> Vec<u64> {
-        self.inflight.iter().map(|s| s.seg.dsn).collect()
+        self.inflight.iter().map(|s| s.dsn).collect()
     }
 
     /// True while in NewReno loss recovery.
@@ -140,12 +144,12 @@ impl Subflow {
     /// The data sequence number of the oldest transmission still in flight
     /// here, if any (used to find who holds up the meta window).
     pub fn oldest_inflight_dsn(&self) -> Option<u64> {
-        self.inflight.front().map(|s| s.seg.dsn)
+        self.inflight.front().map(|s| s.dsn)
     }
 
     /// True if any in-flight transmission on this subflow carries `dsn`.
     pub fn carries_dsn(&self, dsn: u64) -> bool {
-        self.inflight.iter().any(|s| s.seg.dsn == dsn)
+        self.inflight.iter().any(|s| s.dsn == dsn)
     }
 
     /// Register a fresh transmission of `dsn` at `now`; returns the segment
@@ -155,7 +159,7 @@ impl Subflow {
         debug_assert!(self.has_space(), "register_send without window space");
         let seg = Segment { dsn, ssn: self.next_ssn };
         self.next_ssn += 1;
-        self.inflight.push_back(InflightSeg { seg, sent_at: now, retransmitted: false });
+        self.inflight.push_back(InflightSeg { dsn, sent_at: now, retransmitted: false });
         self.cc.note_send(now);
         self.stats.segs_sent += 1;
         if reinjection {
@@ -171,21 +175,18 @@ impl Subflow {
             was_cwnd_limited: self.inflight_count() >= self.cc.cwnd_pkts(),
             ..AckOutcome::default()
         };
+        debug_assert!(ack.sub_next_ssn <= self.next_ssn, "ACK for an ssn never sent");
         if ack.sub_next_ssn > self.snd_una {
-            // Cumulative advance.
+            // Cumulative advance: the front entries up to the ACKed ssn.
             let mut newest_sample = None;
             let mut covers_retransmit = false;
-            while let Some(front) = self.inflight.front() {
-                if front.seg.ssn < ack.sub_next_ssn {
-                    let acked = self.inflight.pop_front().expect("front exists");
-                    out.newly_acked += 1;
-                    if acked.retransmitted {
-                        covers_retransmit = true;
-                    } else {
-                        newest_sample = Some(now.since(acked.sent_at));
-                    }
+            let acked = (ack.sub_next_ssn - self.snd_una).min(self.inflight.len() as u64);
+            for acked in self.inflight.drain(..acked as usize) {
+                out.newly_acked += 1;
+                if acked.retransmitted {
+                    covers_retransmit = true;
                 } else {
-                    break;
+                    newest_sample = Some(now.since(acked.sent_at));
                 }
             }
             // Karn's rule applied to the whole cumulative jump: if this ACK
@@ -213,7 +214,7 @@ impl Subflow {
                         front.retransmitted = true;
                         front.sent_at = now;
                         self.stats.retransmits += 1;
-                        out.fast_retx = Some(front.seg);
+                        out.fast_retx = Some(Segment { dsn: front.dsn, ssn: self.snd_una });
                     }
                 }
             }
@@ -237,7 +238,7 @@ impl Subflow {
                 front.sent_at = now;
                 self.stats.retransmits += 1;
                 self.rto_deadline = now + self.cc.rto();
-                out.fast_retx = Some(front.seg);
+                out.fast_retx = Some(Segment { dsn: front.dsn, ssn: self.snd_una });
             }
         }
         out.in_recovery = self.in_recovery();
@@ -268,7 +269,7 @@ impl Subflow {
         front.sent_at = now;
         self.stats.retransmits += 1;
         self.rto_deadline = now + self.cc.rto();
-        Some(front.seg)
+        Some(Segment { dsn: front.dsn, ssn: self.snd_una })
     }
 }
 

@@ -122,6 +122,19 @@ impl PathSpace {
     }
 }
 
+/// Index of the first set bit at or after `from` in the bitset `words`.
+fn first_set_from(words: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut bits = *words.get(w)? & (!0 << (from % 64));
+    loop {
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
+        }
+        w += 1;
+        bits = *words.get(w)?;
+    }
+}
+
 /// Send state of one stream: the fresh frontier plus chunks queued for
 /// retransmission (retransmissions have priority within the stream).
 #[derive(Debug, Default)]
@@ -171,6 +184,10 @@ pub struct QuicConn {
     rwnd_adv: u64,
     /// Round-robin cursor over streams for chunk selection.
     rr_cursor: usize,
+    /// Bit `i` is set while stream `i` holds a chunk to place (queued
+    /// retransmissions or unsent fresh chunks), so the round-robin pick
+    /// skips drained streams a word at a time.
+    pending_streams: Vec<u64>,
     /// Chunks not yet on the wire (fresh + retransmit), across all streams.
     pending_total: u64,
     /// Packets inflight across all paths.
@@ -198,6 +215,7 @@ impl QuicConn {
             driver: SchedDriver::new(scheduler, n),
             rwnd_adv: cfg.rwnd_chunks,
             rr_cursor: 0,
+            pending_streams: Vec::new(),
             pending_total: 0,
             inflight_total: 0,
             stats: QuicStats::default(),
@@ -214,11 +232,26 @@ impl QuicConn {
         let i = stream as usize;
         if self.streams.len() <= i {
             self.streams.resize_with(i + 1, StreamTx::default);
+            self.pending_streams.resize((i + 1).div_ceil(64), 0);
         }
         let s = &mut self.streams[i];
         assert_eq!(s.total, 0, "stream {stream} opened twice");
         s.total = total_chunks;
         self.pending_total += total_chunks;
+        if total_chunks > 0 {
+            self.mark_pending(i);
+        }
+    }
+
+    /// Queue `chunk` of `stream` for retransmission.
+    fn requeue(&mut self, stream: u32, chunk: u64) {
+        self.streams[stream as usize].retx.push_back(chunk);
+        self.pending_total += 1;
+        self.mark_pending(stream as usize);
+    }
+
+    fn mark_pending(&mut self, stream: usize) {
+        self.pending_streams[stream / 64] |= 1 << (stream % 64);
     }
 
     /// Chunks not yet (re)transmitted, across all streams.
@@ -242,8 +275,7 @@ impl QuicConn {
         self.paths[path].up = false;
         while let Some(s) = self.paths[path].inflight.pop_front() {
             self.inflight_total -= 1;
-            self.streams[s.stream as usize].retx.push_back(s.chunk);
-            self.pending_total += 1;
+            self.requeue(s.stream, s.chunk);
         }
         self.paths[path].rto_deadline = Time::MAX;
     }
@@ -256,24 +288,23 @@ impl QuicConn {
     /// Pick the next chunk to place: round-robin over streams, stream-local
     /// retransmissions first. Caller guarantees `pending_total > 0`.
     fn take_next_chunk(&mut self) -> (u32, u64) {
-        let n = self.streams.len();
-        for k in 0..n {
-            let i = (self.rr_cursor + k) % n;
-            let s = &mut self.streams[i];
-            if let Some(chunk) = s.retx.pop_front() {
-                self.rr_cursor = (i + 1) % n;
-                self.pending_total -= 1;
-                return (i as u32, chunk);
-            }
-            if s.next_fresh < s.total {
-                let chunk = s.next_fresh;
+        let i = first_set_from(&self.pending_streams, self.rr_cursor)
+            .or_else(|| first_set_from(&self.pending_streams, 0))
+            .expect("take_next_chunk with pending_total == 0");
+        let s = &mut self.streams[i];
+        let chunk = match s.retx.pop_front() {
+            Some(chunk) => chunk,
+            None => {
                 s.next_fresh += 1;
-                self.rr_cursor = (i + 1) % n;
-                self.pending_total -= 1;
-                return (i as u32, chunk);
+                s.next_fresh - 1
             }
+        };
+        if s.retx.is_empty() && s.next_fresh == s.total {
+            self.pending_streams[i / 64] &= !(1 << (i % 64));
         }
-        unreachable!("take_next_chunk with pending_total == 0")
+        self.rr_cursor = (i + 1) % self.streams.len();
+        self.pending_total -= 1;
+        (i as u32, chunk)
     }
 
     fn rebuild_snapshots(&mut self) {
@@ -355,8 +386,7 @@ impl QuicConn {
             if first_lost_pn.is_none() {
                 first_lost_pn = Some(s.pn);
             }
-            self.streams[s.stream as usize].retx.push_back(s.chunk);
-            self.pending_total += 1;
+            self.requeue(s.stream, s.chunk);
             out.lost += 1;
         }
         self.stats.lost_packets += out.lost;
@@ -402,8 +432,7 @@ impl QuicConn {
             return false;
         };
         self.inflight_total -= 1;
-        self.streams[s.stream as usize].retx.push_back(s.chunk);
-        self.pending_total += 1;
+        self.requeue(s.stream, s.chunk);
         let p = &mut self.paths[path];
         p.cc.on_rto();
         p.recovery_until = p.next_pn;
@@ -509,5 +538,64 @@ mod tests {
         c.try_send_into(Time::ZERO, &mut out);
         assert_eq!(out.len(), 5, "window of 5 chunks caps the burst");
         assert_eq!(c.stats.rwnd_blocked, 1);
+    }
+
+    /// Reference pick order: a linear round-robin scan from the cursor.
+    fn scan_pick(streams: &mut [StreamTx], cursor: &mut usize) -> (u32, u64) {
+        let n = streams.len();
+        for k in 0..n {
+            let i = (*cursor + k) % n;
+            let s = &mut streams[i];
+            let chunk = match s.retx.pop_front() {
+                Some(chunk) => chunk,
+                None if s.next_fresh < s.total => {
+                    s.next_fresh += 1;
+                    s.next_fresh - 1
+                }
+                None => continue,
+            };
+            *cursor = (i + 1) % n;
+            return (i as u32, chunk);
+        }
+        unreachable!("scan_pick with nothing pending")
+    }
+
+    #[test]
+    fn bitset_pick_matches_round_robin_scan() {
+        // Streams open in random order (some empty, some past a 64-bit word
+        // boundary), chunks are taken and requeued at random; every pick
+        // must equal the linear scan's.
+        let mut rng = testkit::Rng::seed_from_u64(7);
+        let mut c = conn(1);
+        let mut oracle: Vec<StreamTx> = Vec::new();
+        let mut cursor = 0;
+        let mut unopened: Vec<u32> = (0..150).collect();
+        let mut taken = Vec::new();
+        for _ in 0..5_000 {
+            match rng.gen_range(0..10_u32) {
+                0 if !unopened.is_empty() => {
+                    let stream = unopened.swap_remove(rng.gen_range(0..unopened.len()));
+                    let total = rng.gen_range(0..4_u64);
+                    c.open_stream(stream, total);
+                    let i = stream as usize;
+                    if oracle.len() <= i {
+                        oracle.resize_with(i + 1, StreamTx::default);
+                    }
+                    oracle[i].total = total;
+                }
+                1 | 2 if !taken.is_empty() => {
+                    let (stream, chunk) = taken.swap_remove(rng.gen_range(0..taken.len()));
+                    c.requeue(stream, chunk);
+                    oracle[stream as usize].retx.push_back(chunk);
+                }
+                _ if c.pending_chunks() > 0 => {
+                    let got = c.take_next_chunk();
+                    assert_eq!(got, scan_pick(&mut oracle, &mut cursor));
+                    taken.push(got);
+                }
+                _ => {}
+            }
+        }
+        assert!(taken.len() > 100, "workload mis-sized: {} chunks out", taken.len());
     }
 }

@@ -21,7 +21,8 @@ use ecf_core::SchedulerKind;
 use mptcp::{segs_for_bytes, Recorder, RecorderConfig, ReqId, TransportApi, TransportApp};
 use scenario::{Action, ControlEvent, Scenario};
 use simnet::{
-    DeliveryQueue, Engine, EventQueue, Model, Path, PathConfig, RunOutcome, Time, Verdict,
+    DeliveryQueue, Engine, EventQueue, Model, Path, PathConfig, PathRings, RunOutcome, Time,
+    Verdict,
 };
 use tcp_model::{wire_size, MSS};
 use telemetry::{Counter, EventKind, LinkDir, TelemetryHandle};
@@ -195,14 +196,23 @@ impl QuicWorld {
         let mut sender = QuicConn::new(cfg.conn, scheduler, &handshake_rtts);
         sender.set_telemetry(cfg.telemetry.clone(), 0);
         let n_paths = paths.len();
+        let rings: Vec<PathRings> = cfg.paths.iter().map(PathConfig::rings).collect();
         QuicWorld {
             paths,
             sender,
             receiver: QuicReceiver::new(cfg.conn.rwnd_chunks),
             recorder: Recorder::new(cfg.recorder, &[n_paths]),
             path_up: vec![true; n_paths],
-            fwd_inflight: (0..n_paths).map(|_| DeliveryQueue::with_capacity(512)).collect(),
-            rev_inflight: (0..n_paths).map(|_| DeliveryQueue::with_capacity(512)).collect(),
+            // Sized like `mptcp`'s: what each link direction holds between
+            // enqueue and arrival (see `PathRings`).
+            fwd_inflight: rings
+                .iter()
+                .map(|r| DeliveryQueue::with_capacity(r.fwd_delivery))
+                .collect(),
+            rev_inflight: rings
+                .iter()
+                .map(|r| DeliveryQueue::with_capacity(r.rev_delivery))
+                .collect(),
             controls: cfg.scenario.compile(),
             plan_buf: Vec::with_capacity(64),
             delivered_buf: Vec::with_capacity(64),

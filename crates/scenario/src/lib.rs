@@ -343,10 +343,18 @@ fn parse_process(v: &Value) -> Result<Process, String> {
                 .iter()
                 .map(|r| r.as_f64().ok_or_else(|| "non-number in \"rates_mbps\"".to_string()))
                 .collect::<Result<Vec<f64>, String>>()?;
+            if rates.is_empty() {
+                return Err("\"rates_mbps\" must name at least one rate".into());
+            }
+            // A zero mean would never advance the schedule's clock.
+            let mean_interval = Duration::try_from_secs_f64(field_f64(v, "mean_interval_s")?)
+                .ok()
+                .filter(|d| !d.is_zero())
+                .ok_or("\"mean_interval_s\" must be a positive, finite number of seconds")?;
             Ok(Process::RandomRates {
                 path: field_usize(v, "path")?,
                 seed: field_f64(v, "seed")? as u64,
-                mean_interval: Duration::from_secs_f64(field_f64(v, "mean_interval_s")?),
+                mean_interval,
                 rates_mbps: rates,
                 horizon: Time::from_micros((field_f64(v, "horizon_s")? * 1e6) as u64),
             })
@@ -510,6 +518,28 @@ mod tests {
             .unwrap();
         let s = Scenario::from_json_file(&good).unwrap();
         assert_eq!(s.events.len(), 1);
+    }
+
+    #[test]
+    fn json_rejects_processes_that_cannot_compile() {
+        // Accepted, each would panic (negative or overflowing interval,
+        // empty rate list) or never finish `compile()` (zero interval).
+        let good = r#"{"kind": "random_rates", "path": 0, "seed": 1,
+            "mean_interval_s": 40, "rates_mbps": [1], "horizon_s": 60}"#;
+        assert!(Scenario::from_json(&format!(r#"{{"processes": [{good}]}}"#)).is_ok());
+        for (field, bad) in [
+            ("mean_interval_s", "-1"),
+            ("mean_interval_s", "0"),
+            ("mean_interval_s", "1e300"),
+            ("rates_mbps", "[]"),
+        ] {
+            let ok = if field == "rates_mbps" { "[1]" } else { "40" };
+            let process =
+                good.replace(&format!("\"{field}\": {ok}"), &format!("\"{field}\": {bad}"));
+            let err = Scenario::from_json(&format!(r#"{{"processes": [{good}, {process}]}}"#))
+                .unwrap_err();
+            assert!(err.contains("processes[1]") && err.contains(field), "{field}={bad}: {err}");
+        }
     }
 
     #[test]

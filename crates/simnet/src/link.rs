@@ -81,6 +81,38 @@ impl LinkConfig {
             loss_rate: 0.0,
         }
     }
+
+    /// Full-size packets the droptail queue holds when full.
+    pub(crate) fn droptail_packets(&self) -> u64 {
+        self.queue_limit_bytes / u64::from(FULL_SIZE_PAYLOAD)
+    }
+
+    /// Nanoseconds to serialize one full-size packet at the configured rate
+    /// (at least 1): the spacing at which the link clocks packets out.
+    pub(crate) fn full_packet_nanos(&self) -> u64 {
+        serialization_nanos(self.rate_bps, FULL_SIZE_PAYLOAD).max(1)
+    }
+}
+
+/// The unit ring reservations count in: a full-size segment's payload (the
+/// TCP MSS with timestamps, restated here because `simnet` sits below the
+/// transports). Counting in payload rather than wire bytes rounds every
+/// derived depth up by the header share.
+const FULL_SIZE_PAYLOAD: u32 = 1448;
+
+/// Smallest and largest up-front ring reservation, in packets. The floor
+/// covers bursts no path-level derivation sees (a browser's parallel
+/// requests, a batch of delayed ACKs); the ceiling keeps a huge "never
+/// drop" limit from reserving megabytes. Past either, rings grow on demand.
+const RESERVE_FLOOR: u64 = 64;
+const RESERVE_CEIL: u64 = 16_384;
+
+/// Clamp a derived packet count to an up-front ring reservation, rounded up
+/// to a whole number of floors. Rounding gives the rings of similar paths
+/// one allocation size, so a sweep's next testbed reuses the rings its
+/// predecessor freed instead of fragmenting the heap with near-miss sizes.
+pub(crate) fn ring_reserve(packets: u64) -> usize {
+    packets.clamp(RESERVE_FLOOR, RESERVE_CEIL).next_multiple_of(RESERVE_FLOOR) as usize
 }
 
 /// Queue capacity for a latency-sized droptail: rate × latency, clamped to
@@ -183,8 +215,26 @@ pub struct Link {
 }
 
 impl Link {
-    /// Create a link; `seed` drives jitter and random loss only.
+    /// Create a link; `seed` drives jitter and random loss only. The queue
+    /// reserves its droptail depth, which is right for a shaped link: its
+    /// senders really fill it that deep. (A [`crate::Path`]'s ACK direction
+    /// reserves less; see [`crate::PathRings::rev_queue`].)
     pub fn new(cfg: LinkConfig, seed: u64) -> Self {
+        let slots = ring_reserve(cfg.droptail_packets());
+        Link::with_reserve(cfg, seed, slots)
+    }
+
+    /// Create a link whose queue reserves `slots` packets up front.
+    ///
+    /// The drop check keeps occupancy under `queue_limit_bytes`, so a
+    /// reservation of the droptail depth in full-size packets is never
+    /// outgrown by MSS traffic. A link that drains far faster than its
+    /// traffic arrives (the unshaped ACK direction) never builds that depth
+    /// and reserves for its arrival bursts instead (see
+    /// [`crate::PathConfig::rings`]). Either way the queue grows on demand
+    /// past its reservation; sizing it right only keeps steady-state
+    /// enqueues allocation-free.
+    pub(crate) fn with_reserve(cfg: LinkConfig, seed: u64, slots: usize) -> Self {
         let recip_q32 = serialization_recip(cfg.rate_bps);
         let loss = if cfg.loss_rate > 0.0 {
             LossModel::Bernoulli(cfg.loss_rate)
@@ -192,17 +242,10 @@ impl Link {
             LossModel::None
         };
         let deterministic = loss.is_none() && cfg.jitter_max == Duration::ZERO;
-        // Reserve the droptail bound up front (in full-size ~1448 B packets,
-        // capped for the generous reverse-path queues) so steady-state
-        // enqueues never grow the deque: the drop check keeps occupancy under
-        // `queue_limit_bytes`, so this capacity is never exceeded by MSS
-        // traffic, and sub-MSS traffic rides line-rate links that drain too
-        // fast to build comparable depth.
-        let queue_cap = (cfg.queue_limit_bytes / 1448).clamp(64, 16_384) as usize;
         Link {
             cfg,
             busy_until: Time::ZERO,
-            in_queue: VecDeque::with_capacity(queue_cap),
+            in_queue: VecDeque::with_capacity(slots),
             queued_bytes: 0,
             last_arrival: Time::ZERO,
             recip_q32,

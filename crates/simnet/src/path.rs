@@ -13,7 +13,8 @@
 
 use std::time::Duration;
 
-use crate::link::{Link, LinkConfig};
+use crate::link::{ring_reserve, Link, LinkConfig};
+use crate::time::dur_nanos;
 
 /// WiFi one-way propagation delay (base RTT ≈ 20 ms; paper Table 2 shows
 /// 40 ms at 8.6 Mbps once queueing is included).
@@ -83,6 +84,62 @@ impl PathConfig {
     }
 }
 
+/// Up-front reservations, in packets, for the rings that carry one path's
+/// traffic, derived from its configuration by [`PathConfig::rings`].
+///
+/// Each is what the ring holds in steady state at the configured rate, so
+/// steady-state traffic never reallocates; every ring still grows on demand
+/// past its reservation (after a scenario speeds the link up, or while a
+/// window overshoots before its losses are detected).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathRings {
+    /// Segments in flight the path sustains: the bandwidth-delay product over
+    /// the base RTT plus the forward droptail depth. Past it the queue drops
+    /// and loss caps the congestion windows, so the inflight deques of the
+    /// subflows riding the path split this between them rather than each
+    /// reserving its connection's buffer bound.
+    pub window: usize,
+    /// Reverse (ACK) link queue: the ACKs the forward link can release at
+    /// one instant. ACKs arrive at most one per forward serialization time,
+    /// except where forward jitter bunches arrivals under the FIFO clamp,
+    /// and the line-rate reverse link drains each in a fraction of that.
+    pub rev_queue: usize,
+    /// Forward deliveries in flight: a packet is parked from enqueue to
+    /// arrival, so the droptail queue plus the packets on the wire.
+    pub fwd_delivery: usize,
+    /// Reverse deliveries in flight: the ACKs the forward link clocks out
+    /// over the reverse propagation delay, plus one burst.
+    pub rev_delivery: usize,
+}
+
+impl PathRings {
+    /// One subflow's share of [`PathRings::window`] when `riders` subflows
+    /// ride the path, rounded like every reservation.
+    pub fn window_share(&self, riders: usize) -> usize {
+        ring_reserve(self.window.div_ceil(riders.max(1)) as u64)
+    }
+}
+
+impl PathConfig {
+    /// Ring reservations for this path (see [`PathRings`]), each clamped to
+    /// [64, 16384] packets and rounded up to a multiple of 64.
+    pub fn rings(&self) -> PathRings {
+        // Forward serialization of a full-size packet: the clock of both
+        // the data and the ACKs it triggers.
+        let clock = self.fwd.full_packet_nanos();
+        let droptail = self.fwd.droptail_packets();
+        let jitter = dur_nanos(self.fwd.jitter_max);
+        let burst = 1 + jitter / clock;
+        let on_wire = |prop: Duration| (dur_nanos(prop) + jitter) / clock + 1;
+        PathRings {
+            window: ring_reserve(droptail + dur_nanos(self.base_rtt()) / clock),
+            rev_queue: ring_reserve(burst),
+            fwd_delivery: ring_reserve(droptail + on_wire(self.fwd.prop_delay)),
+            rev_delivery: ring_reserve(on_wire(self.rev.prop_delay)),
+        }
+    }
+}
+
 /// Canonical per-path seed derivation: path `index` of a run seeded with
 /// `base` gets `base + index * 7919`. Every harness — the mptcp monolith
 /// testbed, the sharded sweep executor (which keys by *global* unit index so
@@ -104,12 +161,17 @@ pub struct Path {
 }
 
 impl Path {
-    /// Instantiate from a config; `seed` feeds the two links' jitter/loss RNGs.
+    /// Instantiate from a config; `seed` feeds the two links' jitter/loss
+    /// RNGs. The shaped forward link reserves its droptail depth, which it
+    /// really fills; the ACK link reserves one ACK burst
+    /// ([`PathRings::rev_queue`]) instead of its "never drop" limit.
     pub fn new(cfg: &PathConfig, seed: u64) -> Self {
+        let fwd_seed = seed.wrapping_mul(2).wrapping_add(1);
+        let rev_seed = seed.wrapping_mul(2).wrapping_add(2);
         Path {
             name: cfg.name.clone(),
-            fwd: Link::new(cfg.fwd.clone(), seed.wrapping_mul(2).wrapping_add(1)),
-            rev: Link::new(cfg.rev.clone(), seed.wrapping_mul(2).wrapping_add(2)),
+            fwd: Link::new(cfg.fwd.clone(), fwd_seed),
+            rev: Link::with_reserve(cfg.rev.clone(), rev_seed, cfg.rings().rev_queue),
         }
     }
 
@@ -139,6 +201,34 @@ mod tests {
         let cfg = PathConfig::wifi(0.3);
         assert!(cfg.fwd.queue_limit_bytes >= 1_000_000);
         assert!(cfg.fwd.queue_limit_bytes / 1500 >= 724);
+    }
+
+    #[test]
+    fn rings_follow_the_path() {
+        // Reservations round up to multiples of 64 packets.
+        let round = |n: usize| n.next_multiple_of(64);
+        // WiFi at 8.6 Mbps: a full-size packet serializes in ~1.35 ms.
+        let wifi = PathConfig::wifi(8.6).rings();
+        let droptail = (SHAPED_QUEUE_BYTES / 1448) as usize;
+        // 20 ms of base RTT holds 14 packets; 12 ms of wire + jitter holds 8.
+        assert_eq!(wifi.window, round(droptail + 14));
+        assert_eq!(wifi.fwd_delivery, round(droptail + 9));
+        // The ACK direction never reserves for its 16 MB "never drop" limit.
+        assert_eq!((wifi.rev_queue, wifi.rev_delivery), (64, 64));
+        // A fast forward link clocks more ACKs onto the reverse wire: at
+        // 75 Mbps, 30 ms + 4 ms of jitter holds 220 ACKs.
+        let lte = PathConfig::lte(75.0).rings();
+        assert_eq!(lte.rev_delivery, round(221));
+        // ... and sustains a larger window (60 ms of base RTT is 388 packets).
+        assert_eq!(lte.window, round(droptail + 388));
+        // Subflows riding one path split its window.
+        assert_eq!(lte.window_share(1), lte.window);
+        assert_eq!(lte.window_share(6), round(lte.window.div_ceil(6)));
+        // A tiny droptail still gets the floor; a huge one the ceiling.
+        let tiny = PathConfig::custom("t", 1.0, Duration::from_millis(5), 3_000).rings();
+        assert_eq!((tiny.window, tiny.window_share(6)), (64, 64));
+        let huge = PathConfig::custom("h", 1.0, Duration::from_millis(5), 1 << 40).rings();
+        assert_eq!(huge.window, 16_384);
     }
 
     #[test]

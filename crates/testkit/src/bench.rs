@@ -11,14 +11,11 @@
 //! iteration: `scripts/verify.sh` uses this to prove the harnesses still
 //! *run* without paying measurement-grade runtime.
 //!
-//! Setting `TESTKIT_BENCH_FILTER=<regex>` runs only the benchmarks whose
-//! full name (`group/id`) matches the pattern — `scripts/bench_update.sh
-//! --filter` uses this for partial BENCH.json regeneration. The pattern
-//! language is the in-tree [`regex_lite`] subset (literals, `.`, `*`, `+`,
-//! `?`, `|`, `(...)`, `[...]` classes, `^`/`$` anchors; unanchored search
-//! otherwise). Bench files with expensive shared setup can consult
-//! [`name_enabled`] before building workloads for benchmarks the filter
-//! would skip anyway.
+//! Setting `TESTKIT_BENCH_FILTER=<text>` runs only the benchmarks whose
+//! full name (`group/id`) contains the text — `scripts/bench_update.sh
+//! --filter` uses this for partial BENCH.json regeneration. Bench files
+//! with expensive shared setup can consult [`name_enabled`] before building
+//! workloads for benchmarks the filter would skip anyway.
 
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -29,8 +26,8 @@ pub use std::hint::black_box;
 /// Environment variable that turns benches into 1-iteration smoke runs.
 pub const ENV_SMOKE: &str = "TESTKIT_BENCH_SMOKE";
 
-/// Environment variable holding a [`regex_lite`] pattern; when set, only
-/// benchmarks whose full name matches it are run.
+/// Environment variable holding a substring; when set (and non-empty),
+/// only benchmarks whose full name contains it are run.
 pub const ENV_FILTER: &str = "TESTKIT_BENCH_FILTER";
 
 /// Environment variable naming a file to write machine-readable results to.
@@ -169,34 +166,18 @@ fn smoke_mode() -> bool {
     std::env::var(ENV_SMOKE).map(|v| v != "0" && !v.is_empty()).unwrap_or(false)
 }
 
-/// The compiled [`ENV_FILTER`] pattern (`None` when unset/empty). A bad
-/// pattern aborts the bench process with a message — silently running
-/// everything would defeat a partial `bench_update.sh` run, and silently
-/// running nothing would corrupt the merge.
-fn bench_filter() -> Option<&'static crate::regex_lite::Regex> {
-    static FILTER: OnceLock<Option<crate::regex_lite::Regex>> = OnceLock::new();
-    FILTER
-        .get_or_init(|| {
-            let pat = std::env::var(ENV_FILTER).unwrap_or_default();
-            if pat.is_empty() {
-                return None;
-            }
-            match crate::regex_lite::Regex::new(&pat) {
-                Ok(r) => Some(r),
-                Err(e) => {
-                    eprintln!("bench: bad {ENV_FILTER} pattern {pat:?}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        })
-        .as_ref()
+/// The [`ENV_FILTER`] substring (`None` when unset/empty).
+fn bench_filter() -> Option<&'static str> {
+    static FILTER: OnceLock<String> = OnceLock::new();
+    let pat = FILTER.get_or_init(|| std::env::var(ENV_FILTER).unwrap_or_default());
+    (!pat.is_empty()).then_some(pat.as_str())
 }
 
 /// True when benchmark `name` would run under the current [`ENV_FILTER`].
 /// Bench files use this to skip expensive shared setup (workload
 /// construction, warm-up runs) for benchmarks the filter excludes.
 pub fn name_enabled(name: &str) -> bool {
-    bench_filter().is_none_or(|f| f.is_match(name))
+    bench_filter().is_none_or(|pat| name.contains(pat))
 }
 
 /// Top-level bench context (Criterion-shaped).

@@ -26,8 +26,6 @@
 //!   results and to content-address experiment-matrix cache entries.
 //! * [`digest`] — streaming FNV-1a 64-bit digests, shared by the golden
 //!   regression tests and the experiment matrix's cache keys.
-//! * [`regex_lite`] — a small regex matcher (literals, classes, `*`/`+`/`?`,
-//!   alternation, anchors) backing the benchmark-name filter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +34,6 @@ pub mod bench;
 pub mod digest;
 pub mod json;
 pub mod prop;
-pub mod regex_lite;
 pub mod rng;
 
 pub use rng::Rng;

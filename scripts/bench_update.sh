@@ -13,12 +13,12 @@
 # per line — a diff of BENCH.json is always a diff of numbers, never of
 # formatting. Run this on an otherwise-idle machine.
 #
-# Usage: scripts/bench_update.sh [--filter <regex>]
+# Usage: scripts/bench_update.sh [--filter <substring>]
 #
-# With --filter, only benchmarks whose full name matches the pattern (the
-# testkit regex_lite subset, exported as TESTKIT_BENCH_FILTER) are re-run,
-# and their fresh medians are merged over the existing BENCH.json — results
-# for unmatched names are kept verbatim. This makes a wheel-level change
+# With --filter, only benchmarks whose full name contains the substring
+# (exported as TESTKIT_BENCH_FILTER) are re-run, and their fresh medians
+# are merged over the existing BENCH.json — results for unmatched names
+# are kept verbatim. This makes a wheel-level change
 # affordable to re-baseline without paying for the multi-minute
 # browse_10k_mono monolith.
 set -euo pipefail
@@ -28,13 +28,13 @@ FILTER=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --filter)
-            [ $# -ge 2 ] || { echo "bench_update.sh: --filter needs a pattern" >&2; exit 1; }
+            [ $# -ge 2 ] || { echo "bench_update.sh: --filter needs a substring" >&2; exit 1; }
             FILTER="$2"
             shift 2
             ;;
         *)
             echo "bench_update.sh: unknown argument '$1'" >&2
-            echo "usage: scripts/bench_update.sh [--filter <regex>]" >&2
+            echo "usage: scripts/bench_update.sh [--filter <substring>]" >&2
             exit 1
             ;;
     esac
